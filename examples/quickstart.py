@@ -16,7 +16,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.core import AggregationClient, SegmentPlan, configure_aggregation, iswitch_factory
-from repro.distributed import run_sync
+from repro.distributed import ExperimentConfig, run
 from repro.netsim import Simulator, build_star
 
 
@@ -47,11 +47,13 @@ def aggregate_one_round():
 
     rng = np.random.default_rng(0)
     vectors = [rng.standard_normal(plan.n_elements).astype(np.float32) for _ in clients]
+    # Sum before sending: the switch adopts a writable float32 contribution
+    # as its accumulator (zero copy), so the inputs change during the run.
+    expected = np.sum(vectors, axis=0)
     for client, vector in zip(clients, vectors):
         client.send_gradient(vector, round_index=0)
 
     sim.run()
-    expected = np.sum(vectors, axis=0)
     for name, got in sorted(results.items()):
         error = np.abs(got - expected).max()
         print(f"  {name}: received summed vector, max |error| = {error:.2e}")
@@ -60,7 +62,16 @@ def aggregate_one_round():
 
 def train_through_the_switch():
     print("=== 2. Distributed RL training through the switch ===")
-    result = run_sync("isw", "ppo", n_workers=4, n_iterations=40, seed=0)
+    config = ExperimentConfig(
+        strategy="isw",
+        workload="ppo",
+        mode="sync",
+        n_workers=4,
+        iterations=40,
+        seed=0,
+        telemetry=False,
+    )
+    result = run(config)
     print(f"  strategy:            {result.strategy}")
     print(f"  iterations:          {result.iterations}")
     print(f"  per-iteration time:  {result.per_iteration_time * 1e3:.2f} ms (simulated)")

@@ -21,14 +21,15 @@ fixed scenario matrix —
 
 — and writes a schema'd JSON report (median/p90 wall seconds, events/sec,
 packets/sec, host info).  Training scenarios run the batched transport
-(``transport="train"``, ``scheduler="calendar"``); the parameters are
-recorded per scenario so reports stay self-describing.
+on the heap scheduler (``transport="train"``, ``scheduler="heap"``); the
+parameters are recorded per scenario so reports stay self-describing.
 
 ``--baseline`` embeds a previous report plus per-scenario speedups; it
 defaults to the newest checked-in result listed in
 ``benchmarks/results/MANIFEST.json`` (pass ``none`` to disable).
-``--max-regression FRAC`` turns the run into a CI gate: exit 1 if the
-``sync-isw-n4`` median regressed more than FRAC versus the baseline.
+``--max-regression FRAC`` turns the run into a CI gate: exit 1 if, for
+any scenario in ``GATE_SCENARIOS``, the best (minimum) wall-time sample
+regressed more than FRAC versus the baseline's best.
 ``--profile`` wraps the whole run in cProfile and writes the top
 cumulative entries next to the JSON report.
 

@@ -11,6 +11,10 @@ IEEE-754 operation order — including the quirk that the composed
 point.  ``tests/test_compute_parity.py`` asserts loss values and
 accumulated gradients are bit-identical; the derivation is written out
 in DESIGN.md §13.
+
+``mlp_forward`` / ``mlp_backward`` are the tape-free MLP kernel shared by
+the whole-graph gradient kernels (``fused_qnet_grad`` here, PPO's
+``fused_ppo_grad`` in ``repro.rl.ppo``).
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ __all__ = [
     "fused_mse_loss",
     "fused_huber_loss",
     "fused_qnet_grad",
+    "mlp_forward",
+    "mlp_backward",
     "td_targets",
     "nll_from_logits",
     "entropy_from_logits",
@@ -115,43 +121,16 @@ def fused_huber_loss(
     return prediction._make(np.asarray(out_data), (prediction,), backward)
 
 
-def fused_qnet_grad(
-    q_net: Sequential,
-    states: np.ndarray,
-    actions: np.ndarray,
-    targets: np.ndarray,
-    delta: float = 1.0,
-) -> float:
-    """Fused forward + backward for DQN's whole trained graph.
+def mlp_forward(net: Sequential, x: np.ndarray):
+    """Forward through a ``Sequential`` of Linear/Activation layers.
 
-    Computes ``huber(gather(q_net(states), actions), targets)`` for a
-    ``Sequential`` of Linear/Activation layers and writes the parameter
-    gradients straight into the ``.grad`` slots — no tape, no per-op
-    Tensor nodes.  Every expression mirrors the corresponding backward
-    closure in ``tensor.py`` op for op:
-
-    * Linear:  ``W' = xᵀ·g``, ``b' = g.sum(axis=0)`` (the exact
-      ``_unbroadcast`` reduction for a ``(B, n) -> (n,)`` bias), input
-      ``g @ Wᵀ``; the first layer's input gradient is skipped, exactly
-      as the tape skips it for a ``requires_grad=False`` input.
-    * relu / tanh / sigmoid:  ``g·mask`` / ``g·(1 − out²)`` /
-      ``g·out·(1 − out)``, caching the same forward values the tape
-      closures capture.
-    * gather:  ``np.add.at(zeros_like(q), (rows, a), g)``.
-    * Huber:  the ``fused_huber_loss`` closed form, seeded at 1.
-
-    Because each expression is the same IEEE-754 operation sequence the
-    graph path executes, the resulting gradients are bit-identical
-    (asserted by ``tests/test_compute_parity.py``).  Gradients are
-    *assigned* (fresh arrays), matching ``_accumulate``'s copy-on-None
-    after the ``zero_grad()`` that precedes every gradient computation.
-    Returns the scalar loss value.
+    Returns ``(output, steps)``: ``steps`` lists ``(layer, cache)`` in
+    forward order, where each cache is the value the matching ``tensor.py``
+    backward closure captures (a Linear's input, the relu mask, the
+    tanh/sigmoid output).  :func:`mlp_backward` consumes it.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    x = np.asarray(states, dtype=np.float64)
-    steps = []  # (layer, cache) in forward order
-    for layer in q_net:
+    steps = []
+    for layer in net:
         if isinstance(layer, Linear):
             steps.append((layer, x))
             x = x @ layer.weight.data
@@ -170,8 +149,67 @@ def fused_qnet_grad(
                 steps.append((layer, x))
         else:
             raise TypeError(
-                f"fused_qnet_grad supports Linear/Activation only, got {layer!r}"
+                f"the fused MLP kernel supports Linear/Activation only, got {layer!r}"
             )
+    return x, steps
+
+
+def mlp_backward(steps, grad: np.ndarray) -> None:
+    """Backward through :func:`mlp_forward`'s ``steps`` from output ``grad``.
+
+    Assigns every parameter's ``.grad`` (fresh arrays, as ``_accumulate``
+    copies into an empty slot after ``zero_grad()``).  Each expression is
+    the tape closure's, op for op:
+
+    * Linear:  ``W' = xᵀ·g``, ``b' = g.sum(axis=(0,))`` (the exact
+      ``_unbroadcast`` reduction for a ``(B, n) -> (n,)`` bias), input
+      ``g @ Wᵀ``; the first layer's input gradient is skipped, exactly
+      as the tape skips it for a ``requires_grad=False`` input.
+    * relu / tanh / sigmoid:  ``g·mask`` / ``g·(1 − out²)`` /
+      ``g·out·(1 − out)``.
+    """
+    first = steps[0][0]
+    for layer, cache in reversed(steps):
+        if isinstance(layer, Linear):
+            if layer.bias is not None:
+                layer.bias.grad = grad.sum(axis=(0,))
+            layer.weight.grad = cache.swapaxes(-1, -2) @ grad
+            if layer is not first:
+                grad = grad @ layer.weight.data.swapaxes(-1, -2)
+        elif layer.kind == "relu":
+            grad = grad * cache
+        elif layer.kind == "tanh":
+            grad = grad * (1.0 - cache**2)
+        else:
+            grad = grad * cache * (1.0 - cache)
+
+
+def fused_qnet_grad(
+    q_net: Sequential,
+    states: np.ndarray,
+    actions: np.ndarray,
+    targets: np.ndarray,
+    delta: float = 1.0,
+) -> float:
+    """Fused forward + backward for DQN's whole trained graph.
+
+    Computes ``huber(gather(q_net(states), actions), targets)`` for a
+    ``Sequential`` of Linear/Activation layers and writes the parameter
+    gradients straight into the ``.grad`` slots — no tape, no per-op
+    Tensor nodes.  The MLP runs through the shared :func:`mlp_forward` /
+    :func:`mlp_backward` kernel; the head mirrors the tape too:
+
+    * gather:  ``np.add.at(zeros_like(q), (rows, a), g)``.
+    * Huber:  the ``fused_huber_loss`` closed form, seeded at 1.
+
+    Because each expression is the same IEEE-754 operation sequence the
+    graph path executes, the resulting gradients are bit-identical
+    (asserted by ``tests/test_compute_parity.py``).  Returns the scalar
+    loss value.
+    """
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    x, steps = mlp_forward(q_net, np.asarray(states, dtype=np.float64))
 
     indices = np.asarray(actions, dtype=np.int64)
     rows = np.arange(x.shape[0])
@@ -199,20 +237,7 @@ def fused_qnet_grad(
     # value-for-value as the tape's ``np.add.at`` (0 + v == v), minus the
     # slow ufunc.at path.
     grad[rows, indices] = d_chosen
-    first = steps[0][0]
-    for layer, cache in reversed(steps):
-        if isinstance(layer, Linear):
-            if layer.bias is not None:
-                layer.bias.grad = grad.sum(axis=0)
-            layer.weight.grad = cache.swapaxes(-1, -2) @ grad
-            if layer is not first:
-                grad = grad @ layer.weight.data.swapaxes(-1, -2)
-        elif layer.kind == "relu":
-            grad = grad * cache
-        elif layer.kind == "tanh":
-            grad = grad * (1.0 - cache**2)
-        else:
-            grad = grad * cache * (1.0 - cache)
+    mlp_backward(steps, grad)
     return float(loss)
 
 

@@ -13,10 +13,12 @@ calls return surrogate gradients against the *same* stored rollout and
 old-policy log-probabilities — each still one gradient per distributed
 iteration, so the aggregation pattern is unchanged.
 
-Compute fast path (PR 10, DESIGN.md §13): acting, the rollout's values /
+Compute fast path (DESIGN.md §13): acting, the rollout's values /
 bootstrap, and the old-policy log-probs run as closed-form NumPy
-(mirroring the autograd expressions op for op), and the value term uses
-the fused MSE kernel — bit-identical to the legacy path.  A
+(mirroring the autograd expressions op for op), and the surrogate
+gradient is :func:`fused_ppo_grad` — one tape-free forward+backward —
+all bit-identical to the legacy tape path.  The rollout reads the
+policy's weight arrays and ``exp(log_std)`` once, not once per step.  A
 :class:`~repro.rl.envs.vector.VectorEnv` collects K envs per rollout
 step (flattened time-major); K = 1 reproduces scalar stepping
 bit-for-bit on the same rng stream.
@@ -29,14 +31,21 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn import Adam, Tensor, fused_mse_loss, mse_loss, mlp, no_grad
-from ..nn.layers import Module, Parameter
+from ..nn import Adam, Tensor, mse_loss, mlp, no_grad
+from ..nn.functional import mlp_backward, mlp_forward
+from ..nn.layers import Linear, Module, Parameter
 from .base import Algorithm
 from .envs.base import Environment
 from .envs.vector import VectorEnv
 from .spaces import Box
 
-__all__ = ["PPO", "GaussianActorCritic", "gae_advantages"]
+__all__ = [
+    "PPO",
+    "GaussianActorCritic",
+    "fused_ppo_grad",
+    "gae_advantages",
+    "ppo_loss",
+]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -74,6 +83,111 @@ class GaussianActorCritic(Module):
     def entropy(self) -> Tensor:
         """Differential entropy of the diagonal Gaussian (state-free)."""
         return (self.log_std + Tensor(0.5 * (_LOG_2PI + 1.0))).sum()
+
+
+def ppo_loss(
+    model: GaussianActorCritic,
+    states: np.ndarray,
+    actions: np.ndarray,
+    old_log_probs: np.ndarray,
+    advantages: np.ndarray,
+    returns: np.ndarray,
+    clip_epsilon: float,
+    value_coef: float,
+    entropy_coef: float = 0.0,
+) -> Tensor:
+    """PPO's loss on the autograd tape — the reference :func:`fused_ppo_grad`
+    is proven against.
+
+    The negated mean clipped surrogate, plus ``value_coef`` times the value
+    MSE, minus ``entropy_coef`` times the entropy.
+    """
+    log_probs = model.log_prob(Tensor(states), actions)
+    ratio = (log_probs - Tensor(old_log_probs)).exp()
+    adv = Tensor(advantages)
+    unclipped = ratio * adv
+    clipped = ratio.clip(1.0 - clip_epsilon, 1.0 + clip_epsilon) * adv
+    # min(a, b) = b + (a - b) clipped to (-inf, 0]; avoid needing a
+    # dedicated minimum op by using the standard identity
+    # min(a,b) = 0.5*(a + b - |a - b|).
+    surrogate = 0.5 * (unclipped + clipped - (unclipped - clipped).abs())
+    policy_loss = -surrogate.mean()
+    value_loss = mse_loss(model.value(Tensor(states)).reshape(-1), Tensor(returns))
+    loss = policy_loss + value_coef * value_loss
+    if entropy_coef:
+        loss = loss - entropy_coef * model.entropy()
+    return loss
+
+
+def fused_ppo_grad(
+    model: GaussianActorCritic,
+    states: np.ndarray,
+    actions: np.ndarray,
+    old_log_probs: np.ndarray,
+    advantages: np.ndarray,
+    returns: np.ndarray,
+    clip_epsilon: float,
+    value_coef: float,
+    entropy_coef: float = 0.0,
+) -> None:
+    """Tape-free gradient of :func:`ppo_loss`, written into the ``.grad`` slots.
+
+    Both MLPs run through the shared :func:`~repro.nn.functional.mlp_forward`
+    / :func:`~repro.nn.functional.mlp_backward` kernel; every other
+    expression is the matching ``tensor.py`` closure, op for op, so the
+    gradients are bit-identical to the tape's (DESIGN.md §13.4).
+
+    Accumulation order: the tape sums a node's contributions in the
+    order its consumers run backward.  ``normalized``, ``ratio``, the
+    unclipped and clipped terms and (without entropy) ``log_std`` each
+    get exactly two, and ``a + b == b + a`` in IEEE-754, so their order
+    cannot matter.  With ``entropy_coef`` set, ``log_std`` gets a third,
+    from the entropy term; that branch is the last one the tape walks,
+    so it is added last here too.
+    """
+    states = np.asarray(states, dtype=np.float64)
+    actions = np.asarray(actions, dtype=np.float64)
+    old_log_probs = np.asarray(old_log_probs, dtype=np.float64)
+    advantages = np.asarray(advantages, dtype=np.float64)
+    returns = np.asarray(returns, dtype=np.float64)
+    log_std = model.log_std.data
+
+    # Forward: GaussianActorCritic.log_prob, then the clipped surrogate.
+    mean, mean_steps = mlp_forward(model.mean, states)
+    std = np.exp(log_std)
+    diff = actions - mean
+    normalized = diff / std
+    per_dim = normalized * normalized * -0.5 - log_std - 0.5 * _LOG_2PI
+    ratio = np.exp(per_dim.sum(axis=-1) - old_log_probs)
+    low, high = 1.0 - clip_epsilon, 1.0 + clip_epsilon
+    in_range = (ratio >= low) & (ratio <= high)
+    sign = np.sign(ratio * advantages - np.clip(ratio, low, high) * advantages)
+    value, value_steps = mlp_forward(model.value, states)
+    value_diff = value.reshape(-1) - returns
+
+    # Backward of the policy loss -mean(0.5·(u + c − |u − c|)), seeded at 1.
+    g_half = (-1.0 * (1.0 / ratio.size)) * 0.5
+    g_gap = -g_half * sign
+    g_unclipped = g_half + g_gap
+    g_clipped = g_half - g_gap
+    g_ratio = g_unclipped * advantages + g_clipped * advantages * in_range
+    g_log_prob = g_ratio * ratio
+    # log_prob = per_dim.sum(axis=-1): broadcast back over the action dims.
+    g_per_dim = np.broadcast_to(g_log_prob[:, None], per_dim.shape).copy()
+    g_square = g_per_dim * -0.5
+    g_half_norm = g_square * normalized
+    g_normalized = g_half_norm + g_half_norm
+    g_std = (-g_normalized * diff / std**2).sum(axis=(0,))
+    mlp_backward(mean_steps, -(g_normalized / std))
+    log_std_grad = g_std * std + -g_per_dim.sum(axis=(0,))
+    if entropy_coef:
+        log_std_grad = log_std_grad - entropy_coef
+    model.log_std.grad = log_std_grad
+
+    # Value term: value_coef · MSE; the tape's two diff·diff contributions
+    # sum to 2·fl(g·d) exactly (see fused_mse_loss).
+    g_value = value_coef * (1.0 / value_diff.size)
+    mlp_backward(value_steps, (2.0 * (g_value * value_diff)).reshape(value.shape))
 
 
 def gae_advantages(
@@ -146,15 +260,7 @@ class PPO(Algorithm):
 
     # ------------------------------------------------------------------
     def act(self, obs: np.ndarray) -> np.ndarray:
-        if self._fast_compute:
-            mean = self.container.mean.infer(obs[None, :])[0]
-            std = np.exp(self.container.log_std.data)
-        else:
-            with no_grad():
-                mean = self.container.mean(Tensor(obs[None, :])).numpy()[0]
-                std = np.exp(self.container.log_std.numpy())
-        action = mean + std * self.rng.standard_normal(mean.shape)
-        return self.env.action_space.clip(action)
+        return self.act_batch(obs[None, :])[0]
 
     def act_batch(self, obs_batch: np.ndarray) -> np.ndarray:
         """Sample a batch of Gaussian actions (one mean-net forward).
@@ -162,15 +268,52 @@ class PPO(Algorithm):
         The (K, action_dim) noise draw consumes the rng stream row-major
         — with one row, exactly the scalar :meth:`act` draw.
         """
-        if self._fast_compute:
-            mean = self.container.mean.infer(obs_batch)
-            std = np.exp(self.container.log_std.data)
-        else:
+        noise = self._action_noise(len(obs_batch))
+        return self._sample_actions(obs_batch, self._policy(), noise)
+
+    def _policy(self):
+        """The mean net's ``(weight, bias)`` arrays in order, or None.
+
+        Weights only change in ``apply_update``, so a rollout reads them
+        once.  None selects the legacy tape forward.
+        """
+        if not self._fast_compute:
+            return None
+        return [
+            (layer.weight.data, layer.bias.data)
+            for layer in self.container.mean
+            if isinstance(layer, Linear)
+        ]
+
+    def _action_noise(self, *shape: int) -> np.ndarray:
+        """``std · N(0, 1)`` draws of shape ``(*shape, action_dim)``.
+
+        ``standard_normal`` fills its output one draw at a time from the
+        same stream, so drawing a whole rollout's noise up front consumes
+        the rng exactly as one draw per step does, and ``std · noise`` is
+        elementwise either way.
+        """
+        std = np.exp(self.container.log_std.data)
+        return std * self.rng.standard_normal((*shape, std.shape[0]))
+
+    def _sample_actions(
+        self, obs_batch: np.ndarray, policy, noise: np.ndarray
+    ) -> np.ndarray:
+        """Clipped ``mean(obs) + noise`` for a batch of observations.
+
+        The fast branch is ``Sequential.infer`` on the tanh mean MLP
+        written out: the same expressions, without the per-layer calls.
+        """
+        if policy is None:
             with no_grad():
                 mean = self.container.mean(Tensor(obs_batch)).numpy()
-                std = np.exp(self.container.log_std.numpy())
-        actions = mean + std * self.rng.standard_normal(mean.shape)
-        return self.env.action_space.clip(actions)
+        else:
+            x = np.asarray(obs_batch, dtype=np.float64)
+            for weight, bias in policy[:-1]:
+                x = np.tanh(x @ weight + bias)
+            weight, bias = policy[-1]
+            mean = x @ weight + bias
+        return self.env.action_space.clip(mean + noise)
 
     def compute_gradient(self) -> np.ndarray:
         if self._stored_rollout is not None and self._epochs_used < self.epochs:
@@ -194,10 +337,13 @@ class PPO(Algorithm):
             return self.container.log_prob(Tensor(states), actions_arr).numpy()
 
     def _collect_rollout(self):
+        policy = self._policy()
+        num_envs = self.env.num_envs if self._venv is not None else 1
+        noise = self._action_noise(self.rollout_steps, num_envs)
         if self._venv is not None:
             obs_buf, act_buf, rew_buf, done_buf = [], [], [], []
-            for _ in range(self.rollout_steps):
-                batch_actions = self.act_batch(self._obs)
+            for step_noise in noise:
+                batch_actions = self._sample_actions(self._obs, policy, step_noise)
                 next_obs, rewards, dones, _ = self.env.step(batch_actions)
                 obs_buf.append(self._obs)
                 act_buf.append(batch_actions)
@@ -205,7 +351,6 @@ class PPO(Algorithm):
                 done_buf.append(dones)
                 self._track_rewards_batch(rewards, dones)
                 self._obs = next_obs
-            num_envs = self.env.num_envs
             states = np.asarray(obs_buf).reshape(self.rollout_steps * num_envs, -1)
             actions_arr = np.asarray(act_buf).reshape(states.shape[0], -1)
             # GAE runs on (T, K) arrays with a (K,) bootstrap; the recursion
@@ -218,8 +363,8 @@ class PPO(Algorithm):
             bootstrap = self._state_values(self._obs)
         else:
             observations, actions, rewards, dones = [], [], [], []
-            for _ in range(self.rollout_steps):
-                action = self.act(self._obs)
+            for step_noise in noise:
+                action = self._sample_actions(self._obs[None, :], policy, step_noise)[0]
                 next_obs, reward, done, _ = self.env.step(action)
                 observations.append(self._obs)
                 actions.append(action)
@@ -246,30 +391,22 @@ class PPO(Algorithm):
     def _surrogate_gradient(
         self, states, actions_arr, old_log_probs, advantages, returns
     ) -> np.ndarray:
-        states = np.asarray(states)
-        self.container.zero_grad()
-        log_probs = self.container.log_prob(Tensor(states), actions_arr)
-        ratio = (log_probs - Tensor(old_log_probs)).exp()
-        adv = Tensor(advantages)
-        unclipped = ratio * adv
-        clipped = ratio.clip(1.0 - self.clip_epsilon, 1.0 + self.clip_epsilon) * adv
-        # min(a, b) = b + (a - b) clipped to (-inf, 0]; avoid needing a
-        # dedicated minimum op by using the standard identity
-        # min(a,b) = 0.5*(a + b - |a - b|).
-        surrogate = 0.5 * (unclipped + clipped - (unclipped - clipped).abs())
-        policy_loss = -surrogate.mean()
+        args = (
+            self.container,
+            np.asarray(states),
+            actions_arr,
+            old_log_probs,
+            advantages,
+            returns,
+            self.clip_epsilon,
+            self.value_coef,
+            self.entropy_coef,
+        )
         if self._fast_compute:
-            value_loss = fused_mse_loss(
-                self.container.value(Tensor(states)).reshape(-1), returns
-            )
+            fused_ppo_grad(*args)
         else:
-            value_loss = mse_loss(
-                self.container.value(Tensor(states)).reshape(-1), Tensor(returns)
-            )
-        loss = policy_loss + self.value_coef * value_loss
-        if self.entropy_coef:
-            loss = loss - self.entropy_coef * self.container.entropy()
-        loss.backward()
+            self.container.zero_grad()
+            ppo_loss(*args).backward()
         return self.gradient_vector()
 
     def _optimizer_step(self) -> None:

@@ -36,6 +36,8 @@ class Box:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError(f"Box space needs dim >= 1, got {self.dim}")
+        if np.isnan(self.low) or np.isnan(self.high):
+            raise ValueError(f"Box bounds must not be NaN: [{self.low}, {self.high}]")
         if self.low >= self.high:
             raise ValueError(f"Box bounds inverted: [{self.low}, {self.high}]")
 
@@ -49,4 +51,15 @@ class Box:
         )
 
     def clip(self, action: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(action, dtype=np.float64), self.low, self.high)
+        """``np.clip`` to [low, high], bit for bit, without its wrapper cost.
+
+        ``np.minimum(np.maximum(a, low), high)`` returns exactly what
+        ``np.clip`` returns — NaN payloads, ``±inf`` and ``-0.0`` included —
+        except when a bound is a signed zero: then an input zero of the
+        other sign comes back as the bound's zero instead of itself, so
+        such boxes keep ``np.clip``.
+        """
+        action = np.asarray(action, dtype=np.float64)
+        if self.low and self.high:
+            return np.minimum(np.maximum(action, self.low), self.high)
+        return np.clip(action, self.low, self.high)

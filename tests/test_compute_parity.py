@@ -12,6 +12,8 @@ at the byte level (``tobytes()``, which is stricter than
 * optimizers: ``step_flat`` vs the per-parameter legacy step,
 * losses: fused kernels vs the composed-primitive graphs,
 * ``fused_qnet_grad``: closed-form backward vs the autograd tape,
+* ``fused_ppo_grad``: PPO's closed-form gradient vs ``ppo_loss`` on the
+  tape, on unit batches, on the clip boundary and through training,
 * envs: kernel ``VectorEnv`` vs the sequential reference over 1k steps,
 * end to end: whole training runs, fast vs legacy, per algorithm.
 
@@ -44,6 +46,7 @@ from repro.rl.envs import Cheetah1D, GridPong, GridQbert, Hopper1D, make_vector_
 from repro.rl.envs.vector import VectorEnv
 from repro.rl.envs.wrappers import FrameStack, NormalizeObservation, ScaleReward
 from repro.rl.legacy import LegacyReplayBuffer
+from repro.rl.ppo import GaussianActorCritic, fused_ppo_grad, ppo_loss
 from repro.rl.replay import ReplayBuffer, Transition
 
 
@@ -304,6 +307,127 @@ class TestFusedQNetGrad:
             fused_qnet_grad(
                 net, np.zeros((2, 4)), np.zeros(2, dtype=int), np.zeros(2), delta=-1.0
             )
+
+
+# ---------------------------------------------------------------------------
+# fused_ppo_grad: PPO's closed-form gradient vs ppo_loss on the tape
+# ---------------------------------------------------------------------------
+
+
+def _param_grads(model: Module) -> list:
+    return [p.grad.copy() for p in model.parameters()]
+
+
+def _assert_ppo_grads_match(model, batch, context="", **coefs) -> None:
+    """Tape (``ppo_loss(...).backward()``) vs ``fused_ppo_grad``, per param."""
+    coefs = {"clip_epsilon": 0.2, "value_coef": 0.5, **coefs}
+    model.zero_grad()
+    ppo_loss(model, *batch, **coefs).backward()
+    tape = _param_grads(model)
+    model.zero_grad()
+    fused_ppo_grad(model, *batch, **coefs)
+    fused = _param_grads(model)
+    names = [name for name, _ in model.named_parameters()]
+    for name, tg, fg in zip(names, tape, fused):
+        assert_bytes_equal(tg, fg, f"{context} {name}")
+
+
+def _ppo_batch(model, rng, rows, obs_size, action_dim):
+    states = rng.standard_normal((rows, obs_size))
+    actions = rng.uniform(-1.0, 1.0, size=(rows, action_dim))
+    old = model.log_prob_infer(states, actions) + 0.3 * rng.standard_normal(rows)
+    advantages = rng.standard_normal(rows)
+    advantages[::5] = 0.0  # sign(0) edge of the |u - c| term
+    returns = rng.standard_normal(rows)
+    return states, actions, old, advantages, returns
+
+
+def _old_log_prob_for_ratio(log_prob: float, target: float):
+    """An old log-prob ``o`` with ``exp(log_prob - o) == target`` exactly,
+    or None when the float grid around ``log(target)`` skips it."""
+    old = log_prob - np.log(target)
+    for _ in range(64):
+        ratio = np.exp(log_prob - old)
+        if ratio == target:
+            return old
+        old = np.nextafter(old, np.inf if ratio > target else -np.inf)
+    return None
+
+
+PPO_CONFIGS = [
+    pytest.param({}, id="default"),
+    pytest.param({"epochs": 2}, id="epochs2"),
+    pytest.param({"entropy_coef": 0.01}, id="entropy"),
+]
+
+
+class TestFusedPPOGrad:
+    @pytest.mark.parametrize("entropy_coef", [0.0, 0.01])
+    def test_action_dim_3(self, entropy_coef):
+        """Real widths for the ``sum(axis=-1)`` and the ``log_std``
+        unbroadcast, with and without the entropy term."""
+        model = GaussianActorCritic(5, 3, (16, 8), rng=np.random.default_rng(4))
+        rng = np.random.default_rng(11)
+        for trial in range(10):
+            batch = _ppo_batch(model, rng, 1 + 7 * trial, 5, 3)
+            _assert_ppo_grads_match(
+                model, batch, f"trial {trial}", entropy_coef=entropy_coef
+            )
+
+    def test_ratios_on_the_clip_boundary(self):
+        """Rows whose ratio is exactly ``1 - eps`` or ``1 + eps``: the clip
+        mask is inclusive there and ``|u - c|`` has a zero argument."""
+        model = GaussianActorCritic(4, 1, (8, 8), rng=np.random.default_rng(6))
+        rng = np.random.default_rng(12)
+        states, actions, old, advantages, returns = _ppo_batch(model, rng, 48, 4, 1)
+        clip_epsilon = 0.25
+        low, high = 1.0 - clip_epsilon, 1.0 + clip_epsilon
+        log_probs = model.log_prob_infer(states, actions)
+        placed = {low: 0, high: 0}
+        for row, log_prob in enumerate(log_probs):
+            target = low if row % 2 else high
+            candidate = _old_log_prob_for_ratio(log_prob, target)
+            if candidate is not None:
+                old[row] = candidate
+                placed[target] += 1
+        ratio = np.exp(log_probs - old)
+        assert placed[low] >= 4 and placed[high] >= 4, placed
+        assert (ratio == low).sum() == placed[low]
+        assert (ratio == high).sum() == placed[high]
+        batch = (states, actions, old, advantages, returns)
+        _assert_ppo_grads_match(model, batch, clip_epsilon=clip_epsilon)
+        _assert_ppo_grads_match(
+            model, batch, "entropy", clip_epsilon=clip_epsilon, entropy_coef=0.02
+        )
+
+    @pytest.mark.parametrize("config", PPO_CONFIGS)
+    def test_training_grads_match_tape(self, config):
+        """Every gradient of a training run, fast vs legacy, per param."""
+        self._lockstep(lambda: PPO(Hopper1D(seed=3), seed=3, **config), 6)
+
+    def test_k4_vector_env_batch(self):
+        def builder():
+            env = make_vector_env("hopper1d", 4, seed=5)
+            return PPO(env, seed=5, rollout_steps=16)
+
+        self._lockstep(builder, 4)
+
+    @staticmethod
+    def _lockstep(builder, iterations):
+        with use_fast_compute():
+            fast = builder()
+        with use_legacy_compute():
+            legacy = builder()
+        for step in range(iterations):
+            fast_wire = fast.compute_gradient()
+            legacy_wire = legacy.compute_gradient()
+            for (name, fp), lp in zip(
+                fast.container.named_parameters(), legacy.container.parameters()
+            ):
+                assert_bytes_equal(fp.grad, lp.grad, f"step {step} {name}")
+            assert_bytes_equal(fast_wire, legacy_wire, f"step {step} wire")
+            fast.apply_update(fast_wire)
+            legacy.apply_update(legacy_wire)
 
 
 class TestInferParity:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rl.spaces import Box, Discrete
 
@@ -51,3 +53,62 @@ class TestBox:
             Box(dim=0)
         with pytest.raises(ValueError):
             Box(dim=1, low=1.0, high=-1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            Box(dim=1, low=float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            Box(dim=1, high=float("nan"))
+
+
+_BOUNDS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([-1.0, 1.0, 0.0, -0.0, -np.inf, np.inf]),
+)
+
+
+def _clip_inputs(low: float, high: float):
+    """Floats that stress a clip to [low, high]: specials, the bounds
+    themselves and their neighbours just outside."""
+    with np.errstate(over="ignore"):  # nextafter(±max float) is ±inf
+        outside = [np.nextafter(low, -np.inf), np.nextafter(high, np.inf)]
+    edges = [low, high, *outside]
+    specials = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324]
+    return st.one_of(st.floats(), st.sampled_from(edges + specials))
+
+
+def _assert_same_as_np_clip(space: Box, value) -> None:
+    expected = np.clip(np.asarray(value, dtype=np.float64), space.low, space.high)
+    got = space.clip(value)
+    assert type(got) is type(expected)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+class TestBoxClipMatchesNpClip:
+    """``Box.clip`` is ``np.clip`` byte for byte (NaN payloads, ``±inf``,
+    ``-0.0``, out-of-range values and the bounds themselves), on arrays
+    and on scalars."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bounds=st.tuples(_BOUNDS, _BOUNDS), data=st.data())
+    def test_arrays(self, bounds, data):
+        low, high = sorted(bounds)
+        if not low < high:
+            low, high = -1.0, 1.0
+        space = Box(dim=1, low=low, high=high)
+        values = data.draw(st.lists(_clip_inputs(low, high), max_size=40))
+        array = np.array(values, dtype=np.float64)
+        _assert_same_as_np_clip(space, array)
+        if len(values) % 2 == 0:
+            _assert_same_as_np_clip(space, array.reshape(2, -1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(bounds=st.tuples(_BOUNDS, _BOUNDS), data=st.data())
+    def test_scalars(self, bounds, data):
+        low, high = sorted(bounds)
+        if not low < high:
+            low, high = -1.0, 1.0
+        space = Box(dim=1, low=low, high=high)
+        value = data.draw(_clip_inputs(low, high))
+        _assert_same_as_np_clip(space, value)
+        _assert_same_as_np_clip(space, np.float64(value))
+        _assert_same_as_np_clip(space, np.array(value))
